@@ -17,6 +17,8 @@ namespace hamlet {
 /// Tracks a current and peak byte count.
 class MemoryMeter {
  public:
+  /// `bytes` is a signed capacity change: callers that measure a structure
+  /// before and after a mutation pass the difference as is.
   void Add(int64_t bytes) {
     current_ += bytes;
     peak_ = std::max(peak_, current_);

@@ -8,9 +8,12 @@
 #ifndef HAMLET_HAMLET_CONTEXT_STATE_H_
 #define HAMLET_HAMLET_CONTEXT_STATE_H_
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "src/common/id_ring.h"
+#include "src/common/memory_meter.h"
 #include "src/hamlet/expr.h"
 #include "src/stream/event.h"
 
@@ -68,13 +71,70 @@ struct ContextState {
     final_mm = MinMax();
   }
 
+  /// Heap-held vector capacities only; the slot itself is charged by the
+  /// ContextRing that stores it.
   int64_t MemoryBytes() const {
-    return static_cast<int64_t>(
-        sizeof(ContextState) + type_totals.capacity() * sizeof(LinAgg) +
-        type_mm.capacity() * sizeof(MinMax) +
-        boundary_totals.capacity() * sizeof(LinAgg) +
-        boundary_mm.capacity() * sizeof(MinMax));
+    return static_cast<int64_t>(type_totals.capacity() * sizeof(LinAgg) +
+                                type_mm.capacity() * sizeof(MinMax) +
+                                boundary_totals.capacity() * sizeof(LinAgg) +
+                                boundary_mm.capacity() * sizeof(MinMax));
   }
+};
+
+/// Context slots of one engine, bounded by the windows open at once.
+///
+/// Context ids only grow (IdRing), so a stale CtxMap entry in a retained
+/// node can never alias a newer context. Close() retires every closed id at
+/// the ring's front, freeing those slots for the ids opened next; a reused
+/// slot keeps its vector capacities, so ResetFor re-opens it without
+/// allocating. The ring covers the ids from the oldest open one to the
+/// newest, so its size tracks the largest id span open at once (with one
+/// window length per engine, the windows open at once), not the stream
+/// length.
+class ContextRing {
+ public:
+  /// Opens the next id's slot via ContextState::ResetFor.
+  ContextId Open(int exec, int num_types, int num_positions, Timestamp ws,
+                 Timestamp we) {
+    const size_t slots = slots_.capacity();
+    const ContextId id = slots_.PushBack();
+    ContextState& ctx = slots_[id];
+    const int64_t before = ctx.MemoryBytes();
+    ctx.id = id;
+    ctx.ResetFor(exec, num_types, num_positions, ws, we);
+    meter_.Add(ctx.MemoryBytes() - before +
+               static_cast<int64_t>((slots_.capacity() - slots) *
+                                    sizeof(ContextState)));
+    return id;
+  }
+
+  /// Marks `id` closed and retires the closed ids at the ring's front.
+  void Close(ContextId id) {
+    slots_[id].open = false;
+    while (!slots_.empty() && !slots_[slots_.front_id()].open)
+      slots_.PopFront();
+  }
+
+  /// State of an open context.
+  ContextState& operator[](ContextId id) { return slots_[id]; }
+  const ContextState& operator[](ContextId id) const { return slots_[id]; }
+
+  int num_slots() const { return static_cast<int>(slots_.capacity()); }
+
+  /// Slots plus their vector capacities, kept up to date by Open: O(1).
+  int64_t MemoryBytes() const { return meter_.current(); }
+
+  /// MemoryBytes() recomputed by walking every slot (test reference).
+  int64_t SweepMemoryBytes() const {
+    int64_t bytes =
+        static_cast<int64_t>(slots_.capacity() * sizeof(ContextState));
+    for (const ContextState& ctx : slots_.slots()) bytes += ctx.MemoryBytes();
+    return bytes;
+  }
+
+ private:
+  IdRing<ContextState> slots_;
+  MemoryMeter meter_;
 };
 
 }  // namespace hamlet

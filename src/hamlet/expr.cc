@@ -32,6 +32,10 @@ int MergeTerms(const ExprTerm* a, int n1, const ExprTerm* b, int n2,
   return m;
 }
 
+/// coef * v, except that a zero coefficient is an absent term: it yields 0
+/// even when v overflowed to +-inf (IEEE 0 * inf is NaN).
+double Scaled(double coef, double v) { return coef == 0.0 ? 0.0 : coef * v; }
+
 }  // namespace
 
 Expr Expr::Var(SnapshotId var) {
@@ -148,9 +152,9 @@ LinAgg Expr::Eval(const SnapshotStore& store, ContextId ctx) const {
   for (int i = 0; i < n; ++i) {
     const ExprTerm& t = data[i];
     LinAgg v = store.Get(t.var, ctx);
-    out.count += t.alpha * v.count;
-    out.sum += t.alpha * v.sum + t.gamma * v.count;
-    out.count_e += t.alpha * v.count_e + t.delta * v.count;
+    out.count += Scaled(t.alpha, v.count);
+    out.sum += Scaled(t.alpha, v.sum) + Scaled(t.gamma, v.count);
+    out.count_e += Scaled(t.alpha, v.count_e) + Scaled(t.delta, v.count);
   }
   return out;
 }
@@ -160,7 +164,7 @@ double Expr::EvalCount(const SnapshotStore& store, ContextId ctx) const {
   const ExprTerm* data = terms_data();
   const int n = num_terms();
   for (int i = 0; i < n; ++i)
-    count += data[i].alpha * store.Get(data[i].var, ctx).count;
+    count += Scaled(data[i].alpha, store.Get(data[i].var, ctx).count);
   return count;
 }
 

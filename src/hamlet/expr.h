@@ -111,7 +111,9 @@ class Expr {
                          bool is_target, double val, bool need_sum,
                          bool need_count_e);
 
-  /// Evaluates against the snapshot values of `ctx`.
+  /// Evaluates against the snapshot values of `ctx`. Zero coefficients
+  /// contribute nothing, even against an overflowed (infinite) snapshot
+  /// value: 0 * inf would be NaN where GRETA's numeric fold has no term.
   LinAgg Eval(const SnapshotStore& store, ContextId ctx) const;
 
   /// Evaluates only the trend count (used by MIN/MAX guards).
@@ -131,11 +133,10 @@ class Expr {
     return std::vector<ExprTerm>(terms_data(), terms_data() + num_terms());
   }
 
-  /// Logical size for the memory metric (heap-held spill only; the inline
-  /// buffer is part of sizeof(Expr)).
+  /// Heap-held spill capacity only; the inline buffer is part of
+  /// sizeof(Expr) and is charged by whoever owns the expression.
   int64_t MemoryBytes() const {
-    return static_cast<int64_t>(sizeof(Expr)) +
-           static_cast<int64_t>(spill_.capacity() * sizeof(ExprTerm));
+    return static_cast<int64_t>(spill_.capacity() * sizeof(ExprTerm));
   }
 
   /// "2 + 4*x3 + 1*x7" (coefficients on count only, for diagnostics).

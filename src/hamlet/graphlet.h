@@ -47,9 +47,10 @@ struct GraphletNode {
     return expr.EvalCount(store, ctx);
   }
 
+  /// Heap-held payload only; the node itself is charged through its
+  /// graphlet's `nodes` capacity.
   int64_t MemoryBytes() const {
-    return static_cast<int64_t>(sizeof(GraphletNode)) + expr.MemoryBytes() +
-           values.MemoryBytes();
+    return expr.MemoryBytes() + values.MemoryBytes();
   }
 };
 
@@ -92,6 +93,9 @@ struct Graphlet {
   CtxMap<MinMax> run_mm;
 
   std::vector<GraphletNode> nodes;
+  /// Sum of MemoryBytes() over `nodes`, kept by PushNode so that the
+  /// graphlet's footprint reads without walking its nodes.
+  int64_t node_heap_bytes = 0;
   /// Events appended WITHOUT a stored node: the run-granular fast paths skip
   /// node materialization when the graphlet is provably write-only (never
   /// scanned, no min/max, not retained). num_events() must still count them
@@ -101,6 +105,13 @@ struct Graphlet {
 
   int num_events() const {
     return static_cast<int>(nodes.size()) + extra_events;
+  }
+
+  /// Stores a finished node. Nodes are immutable once stored, so their heap
+  /// payload is counted here, once.
+  void PushNode(GraphletNode&& node) {
+    nodes.push_back(std::move(node));
+    node_heap_bytes += nodes.back().MemoryBytes();
   }
 
   /// Resets logical state while KEEPING heap capacities (nodes vector, Expr
@@ -124,23 +135,44 @@ struct Graphlet {
     entry_mm.Clear();
     run_mm.Clear();
     nodes.clear();
+    node_heap_bytes = 0;
     extra_events = 0;
     open_time = 0;
   }
 
-  /// Heap-held payload only. The Graphlet object itself lives in the
-  /// engine's arena, whose BLOCK RESERVATION is charged separately
-  /// (HamletEngine::MemoryBytes) — charging sizeof(Graphlet) here would
-  /// double-count it against the arena blocks.
-  int64_t MemoryBytes() const {
-    int64_t bytes = running_sum.MemoryBytes() + solo_sums.MemoryBytes() +
-                    solo_entry.MemoryBytes() + entry_mm.MemoryBytes() +
-                    run_mm.MemoryBytes();
+  /// Heap-held payload: every capacity the graphlet holds, including what
+  /// Recycle() keeps warm (nodes, Expr and CtxMap spills), so a pooled
+  /// graphlet is charged the memory it really pins. The Graphlet object
+  /// itself lives in the engine's arena, whose BLOCK RESERVATION is charged
+  /// separately — charging sizeof(Graphlet) here would double-count it.
+  /// Cost is O(equality keys), independent of the node count: node payloads
+  /// come from node_heap_bytes. The engine reads this around each mutation
+  /// to meter the change (HamletEngine::MemoryBytes).
+  int64_t MemoryBytes() const { return FixedBytes() + node_heap_bytes; }
+
+  /// MemoryBytes() recomputed by walking every node — the reference the
+  /// incremental count is tested against.
+  int64_t SweepMemoryBytes() const {
+    int64_t bytes = FixedBytes();
     for (const GraphletNode& n : nodes) bytes += n.MemoryBytes();
+    return bytes;
+  }
+
+ private:
+  int64_t FixedBytes() const {
+    int64_t bytes = running_sum.MemoryBytes() + solo_sums.MemoryBytes() +
+                    solo_entry.MemoryBytes() + solo_start.MemoryBytes() +
+                    entry_mm.MemoryBytes() + run_mm.MemoryBytes();
+    bytes += static_cast<int64_t>(nodes.capacity() * sizeof(GraphletNode) +
+                                  key_running.capacity() *
+                                      sizeof(key_running[0]) +
+                                  key_entry.capacity() * sizeof(key_entry[0]));
     for (const auto& [key, running] : key_running) {
       bytes += running.MemoryBytes() +
-               static_cast<int64_t>(key.size() * sizeof(double));
+               static_cast<int64_t>(key.capacity() * sizeof(double));
     }
+    for (const auto& [key, var] : key_entry)
+      bytes += static_cast<int64_t>(key.capacity() * sizeof(double));
     return bytes;
   }
 };

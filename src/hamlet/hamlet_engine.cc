@@ -4,6 +4,27 @@
 
 namespace hamlet {
 
+namespace {
+
+/// Charges the change of one graphlet's payload capacity across a scope to
+/// the engine meter. Graphlet::MemoryBytes() does not walk nodes, so the
+/// two reads cost O(equality keys) — nothing on the FastSum paths.
+class PayloadCharge {
+ public:
+  PayloadCharge(MemoryMeter* meter, const Graphlet& g)
+      : meter_(meter), g_(g), before_(g.MemoryBytes()) {}
+  ~PayloadCharge() { meter_->Add(g_.MemoryBytes() - before_); }
+  PayloadCharge(const PayloadCharge&) = delete;
+  PayloadCharge& operator=(const PayloadCharge&) = delete;
+
+ private:
+  MemoryMeter* meter_;
+  const Graphlet& g_;
+  int64_t before_;
+};
+
+}  // namespace
+
 HamletEngine::HamletEngine(const WorkloadPlan& plan, QuerySet members,
                            SharingPolicy* policy, Options options)
     : plan_(&plan),
@@ -148,18 +169,16 @@ const HamletEngine::Lane* HamletEngine::LaneOf(int exec_id,
 ContextId HamletEngine::OpenContext(int exec_id, Timestamp window_start,
                                     Timestamp window_end) {
   HAMLET_CHECK(members_.Contains(exec_id));
-  ContextId id = static_cast<ContextId>(contexts_.size());
-  contexts_.emplace_back();
-  ContextState& ctx = contexts_.back();
-  ctx.id = id;
-  ctx.ResetFor(exec_id, num_types_, Exec(exec_id).tmpl.pattern.num_positions(),
-               window_start, window_end);
+  const ContextId id =
+      contexts_.Open(exec_id, num_types_,
+                     Exec(exec_id).tmpl.pattern.num_positions(), window_start,
+                     window_end);
   open_ctxs_[static_cast<size_t>(exec_id)].push_back(id);
   return id;
 }
 
 ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
-  ContextState& ctx = contexts_[static_cast<size_t>(ctx_id)];
+  ContextState& ctx = contexts_[ctx_id];
   HAMLET_CHECK(ctx.open);
   const ExecQuery& eq = Exec(ctx.exec_id);
   ContextResult result;
@@ -171,23 +190,14 @@ ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
   result.agg.min = ctx.final_mm.min;
   result.agg.max = ctx.final_mm.max;
   result.value = ExtractResult(result.agg, eq.aggregate.kind);
-  ctx.open = false;
   auto& open = open_ctxs_[static_cast<size_t>(ctx.exec_id)];
   open.erase(std::remove(open.begin(), open.end(), ctx_id), open.end());
   store_.DropContext(ctx_id);
   for (Lane& lane : lanes_) {
     for (auto& [key, totals] : lane.key_totals) totals.Erase(ctx_id);
   }
-  // Release the per-context vectors eagerly; the slot itself stays (ids are
-  // never reused, so stale CtxMap entries in retained nodes cannot alias).
-  ctx.type_totals.clear();
-  ctx.type_totals.shrink_to_fit();
-  ctx.type_mm.clear();
-  ctx.type_mm.shrink_to_fit();
-  ctx.boundary_totals.clear();
-  ctx.boundary_totals.shrink_to_fit();
-  ctx.boundary_mm.clear();
-  ctx.boundary_mm.shrink_to_fit();
+  // The slot keeps its vector capacities for the id that reuses it.
+  contexts_.Close(ctx_id);
   return result;
 }
 
@@ -207,7 +217,7 @@ void HamletEngine::OnPaneStart(Timestamp pane_start) {
     size_t keep = 0;
     for (Graphlet* g : h) {
       if (g->open_time < cutoff) {
-        graphlet_pool_.Release(g);
+        ReleaseGraphlet(g);
       } else {
         h[keep++] = g;
       }
@@ -399,6 +409,7 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
                   !lane_mm && !lane.retain_history;
   }
   if (shared_fast) {
+    PayloadCharge charge(&meter_, *shared);
     const double* vals = (target_attr == Schema::kInvalidId || !is_target)
                              ? nullptr
                              : batch.column(target_attr).data();
@@ -424,6 +435,7 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
     for (auto& [id, gl] : lane.solo_graphlets) {
       if (id == q) g = gl;
     }
+    PayloadCharge charge(&meter_, *g);
     // Hoisted AppendSolo fast path: context-outer, run-inner, with the
     // per-context lookups lifted out of the row loop. The FP operation
     // sequence per row is identical to AppendSolo's, so the running sums
@@ -504,14 +516,14 @@ void HamletEngine::ApplyNegation(const Event& e, const QuerySet& neg_matched) {
       last_boundary_neg_[static_cast<size_t>(q)][static_cast<size_t>(pos)] =
           e.time;
       for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
-        ContextState& ctx = contexts_[static_cast<size_t>(c)];
+        ContextState& ctx = contexts_[c];
         ctx.boundary_totals[static_cast<size_t>(pos)] = LinAgg();
         ctx.boundary_mm[static_cast<size_t>(pos)] = MinMax();
       }
     }
     if (trailing) {
       for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
-        ContextState& ctx = contexts_[static_cast<size_t>(c)];
+        ContextState& ctx = contexts_[c];
         ctx.final_lin = LinAgg();
         ctx.final_mm = MinMax();
       }
@@ -652,7 +664,8 @@ void HamletEngine::OpenGraphlets(Lane& lane, const Event& e) {
 
 Graphlet* HamletEngine::OpenSharedGraphlet(Lane& lane, const Event& e,
                                            QuerySet sharers) {
-  Graphlet* g = graphlet_pool_.Acquire();
+  Graphlet* g = AcquireGraphlet();
+  PayloadCharge charge(&meter_, *g);
   g->type = lane.type;
   g->sharers = sharers;
   g->shared = true;
@@ -669,7 +682,7 @@ Graphlet* HamletEngine::OpenSharedGraphlet(Lane& lane, const Event& e,
   const bool need_mm = lane.profile.need_min || lane.profile.need_max;
   sharers.ForEach([&](QueryId q) {
     for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
-      const ContextState& ctx = contexts_[static_cast<size_t>(c)];
+      const ContextState& ctx = contexts_[c];
       LinAgg start;
       start.count = StartValue(q, lane.type, ctx);
       if (start.count != 0.0) store_.Set(g->start_var, c, start);
@@ -688,7 +701,8 @@ Graphlet* HamletEngine::OpenSharedGraphlet(Lane& lane, const Event& e,
 
 Graphlet* HamletEngine::OpenSoloGraphlet(Lane& lane, const Event& e,
                                          int exec_id) {
-  Graphlet* g = graphlet_pool_.Acquire();
+  Graphlet* g = AcquireGraphlet();
+  PayloadCharge charge(&meter_, *g);
   g->type = lane.type;
   g->sharers = QuerySet::Single(exec_id);
   g->shared = false;
@@ -702,7 +716,7 @@ Graphlet* HamletEngine::OpenSoloGraphlet(Lane& lane, const Event& e,
   const AggProfile profile = AggProfile::For(eq.aggregate);
   const bool need_mm = profile.need_min || profile.need_max;
   for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
-    const ContextState& ctx = contexts_[static_cast<size_t>(c)];
+    const ContextState& ctx = contexts_[c];
     g->solo_start.Mut(c) = StartValue(exec_id, lane.type, ctx);
     g->solo_entry.Mut(c) = EntryValue(exec_id, lane.type, ctx);
     if (need_mm) g->entry_mm.Mut(c) = EntryMinMax(exec_id, lane.type, ctx);
@@ -756,6 +770,7 @@ NodeValue HamletEngine::ScanPredecessors(int exec_id, const Event& e,
 
 void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
                                 const QuerySet& matched) {
+  PayloadCharge charge(&meter_, g);
   const QuerySet members = matched.Intersect(g.sharers);
   const bool need_mm = lane.profile.need_min || lane.profile.need_max;
   const bool divergent = members != g.sharers;
@@ -808,7 +823,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
       ++stats_.event_snapshots;
       g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
         for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
-          const ContextState& cs = contexts_[static_cast<size_t>(c)];
+          const ContextState& cs = contexts_[c];
           NodeValue scanned = ScanPredecessors(q, e, c, cs, lane,
                                                /*exclude_own_type=*/true);
           // Solo-era (numeric) own-type nodes are invisible to the symbolic
@@ -897,7 +912,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     ++stats_.event_snapshots;
     g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
       for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
-        const ContextState& cs = contexts_[static_cast<size_t>(c)];
+        const ContextState& cs = contexts_[c];
         LinAgg lin;
         if (g.mode == PropagationMode::kFastSum) {
           lin = store_.Get(g.start_var, c);
@@ -937,7 +952,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
 
   if (need_mm) FoldNodeMinMax(lane, g, node, e);
   g.running_sum.AddExpr(node.expr);
-  g.nodes.push_back(std::move(node));
+  g.PushNode(std::move(node));
   // Snapshot-attribution statistics for Theorem 4.1's pruning: queries on
   // the minority side of a divergence "introduce" the snapshot.
   if (divergent) {
@@ -978,6 +993,7 @@ void HamletEngine::FoldNodeMinMax(Lane& lane, Graphlet& g,
 
 void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
                               int exec_id) {
+  PayloadCharge charge(&meter_, g);
   const ExecQuery& eq = Exec(exec_id);
   const AggProfile profile = AggProfile::For(eq.aggregate);
   const bool need_mm = profile.need_min || profile.need_max;
@@ -1012,7 +1028,7 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
   node.members = QuerySet::Single(exec_id);
   node.numeric = true;
   for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
-    const ContextState& ctx = contexts_[static_cast<size_t>(c)];
+    const ContextState& ctx = contexts_[c];
     NodeValue v;
     MinMax pred_mm = g.entry_mm.Get(c, MinMax());
     if (!eq.has_edge_predicates()) {
@@ -1038,7 +1054,7 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
     g.solo_sums.Mut(c).Add(v.lin);
     node.values.Mut(c) = v;
   }
-  g.nodes.push_back(std::move(node));
+  g.PushNode(std::move(node));
 }
 
 void HamletEngine::AddToContext(ContextState& ctx, int exec_id, TypeId type,
@@ -1065,7 +1081,7 @@ void HamletEngine::FoldGraphlet(Lane& lane, Graphlet& g) {
   if (g.num_events() == 0) return;
   g.sharers.ForEach([&](QueryId q) {
     for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
-      ContextState& ctx = contexts_[static_cast<size_t>(c)];
+      ContextState& ctx = contexts_[c];
       LinAgg v = g.shared ? g.running_sum.Eval(store_, c)
                           : g.solo_sums.Get(c, LinAgg());
       MinMax mm = g.run_mm.Get(c, MinMax());
@@ -1103,7 +1119,7 @@ void HamletEngine::CloseLaneGraphlets(Lane& lane) {
     if (lane.retain_history)
       lane.history.push_back(lane.shared_graphlet);
     else
-      graphlet_pool_.Release(lane.shared_graphlet);
+      ReleaseGraphlet(lane.shared_graphlet);
     lane.shared_graphlet = nullptr;
   }
   for (auto& [id, g] : lane.solo_graphlets) {
@@ -1114,7 +1130,7 @@ void HamletEngine::CloseLaneGraphlets(Lane& lane) {
       if (!g->nodes.empty()) lane.history_has_numeric = true;
       lane.history.push_back(g);
     } else {
-      graphlet_pool_.Release(g);
+      ReleaseGraphlet(g);
     }
   }
   lane.solo_graphlets.clear();
@@ -1139,19 +1155,31 @@ double HamletEngine::WindowEventsEstimate() const {
   return n;
 }
 
-int64_t HamletEngine::MemoryBytes() const {
+Graphlet* HamletEngine::AcquireGraphlet() {
+  const int64_t reserved = graphlet_pool_.bytes_reserved();
+  Graphlet* g = graphlet_pool_.Acquire();
+  meter_.Add(graphlet_pool_.bytes_reserved() - reserved);
+  return g;
+}
+
+void HamletEngine::ReleaseGraphlet(Graphlet* g) {
+  // Recycle frees the nodes' and equality keys' payloads and keeps every
+  // other capacity warm; charge exactly that difference.
+  const int64_t before = g->MemoryBytes();
+  graphlet_pool_.Release(g);
+  meter_.Add(g->MemoryBytes() - before);
+}
+
+int64_t HamletEngine::SweepMemoryBytes() const {
   // Graphlet objects live in the pool's arena: charge the BLOCK RESERVATION
   // (what the allocator actually holds) once, then each object's dynamic
   // payload — free-listed graphlets keep their warmed capacities, which are
   // real memory, so the sweep covers live and recycled objects alike.
   int64_t bytes = static_cast<int64_t>(sizeof(HamletEngine));
   bytes += graphlet_pool_.bytes_reserved();
-  for (const Graphlet* g : graphlet_pool_.objects()) bytes += g->MemoryBytes();
-  bytes += store_.MemoryBytes();
-  for (const ContextState& ctx : contexts_) {
-    if (ctx.open) bytes += ctx.MemoryBytes();
-  }
-  return bytes;
+  for (const Graphlet* g : graphlet_pool_.objects())
+    bytes += g->SweepMemoryBytes();
+  return bytes + store_.SweepMemoryBytes() + contexts_.SweepMemoryBytes();
 }
 
 std::vector<HamletLaneStats> HamletEngine::ExportLaneStats() const {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/common/arena.h"
+#include "src/common/memory_meter.h"
 #include "src/hamlet/graphlet.h"
 #include "src/hamlet/sharing_policy.h"
 #include "src/query/run_segmenter.h"
@@ -117,8 +118,22 @@ class HamletEngine {
   void OnPaneEnd();
 
   /// Logical memory footprint (paper's metric: stored events, snapshot
-  /// expressions and values, per-context tables).
-  int64_t MemoryBytes() const;
+  /// expressions and values, per-context tables), in capacity held: arena
+  /// blocks, every pooled graphlet's payload capacities (live and recycled),
+  /// snapshot columns and context slots. Kept as a running count charged
+  /// where capacity is acquired or released, so the read is O(1).
+  int64_t MemoryBytes() const {
+    return static_cast<int64_t>(sizeof(HamletEngine)) + meter_.current() +
+           store_.MemoryBytes() + contexts_.MemoryBytes();
+  }
+  /// MemoryBytes() recomputed by walking the arena pool, every graphlet and
+  /// node, the snapshot columns and the context slots: the reference the
+  /// running count is tested against. Cost grows with the engine's state;
+  /// keep it off any hot path.
+  int64_t SweepMemoryBytes() const;
+  /// Context-slot ring size (see ContextRing): bounded by the context ids
+  /// open at once, not by stream length.
+  int num_context_slots() const { return contexts_.num_slots(); }
 
   const HamletStats& stats() const { return stats_; }
   const SnapshotStore& snapshot_store() const { return store_; }
@@ -226,6 +241,11 @@ class HamletEngine {
   void AddToContext(ContextState& ctx, int exec_id, TypeId type,
                     const LinAgg& lin, const MinMax& mm);
 
+  // --- metering (meter_ holds the pool blocks and graphlet payloads) ---
+  /// Pool acquire/release with their capacity change charged to meter_.
+  Graphlet* AcquireGraphlet();
+  void ReleaseGraphlet(Graphlet* g);
+
   const Lane* LaneOf(int exec_id, TypeId type) const;
   const ExecQuery& Exec(int exec_id) const {
     return plan_->exec_queries[static_cast<size_t>(exec_id)];
@@ -255,9 +275,11 @@ class HamletEngine {
   std::vector<bool> type_relevant_;
 
   SnapshotStore store_;
-  std::vector<ContextState> contexts_;
+  ContextRing contexts_;
   std::vector<std::vector<ContextId>> open_ctxs_;  ///< per exec id
-  std::vector<ContextId> free_ctx_slots_;
+  /// Arena blocks plus graphlet payload capacities; the store and the
+  /// context ring keep their own counts (see MemoryBytes).
+  MemoryMeter meter_;
 
   /// Last arrival of a leading-negated event per exec (blocks starts for
   /// contexts whose window began before it).

@@ -726,7 +726,12 @@ int64_t Session::CurrentMemory() const {
   for (const auto& rtp : runtimes_) {
     for (const auto& comp : rtp->components) {
       for (const auto& [key, runner] : comp->groups) {
-        if (runner->hamlet) bytes += runner->hamlet->MemoryBytes();
+        // O(1) per HAMLET group: the engine keeps a running count, and its
+        // window slots hold only context ids.
+        if (runner->hamlet) {
+          bytes += runner->hamlet->MemoryBytes();
+          continue;
+        }
         for (const WindowSlot& w : runner->windows) {
           if (w.greta) bytes += w.greta->MemoryBytes();
           if (w.two_step) bytes += w.two_step->MemoryBytes();
@@ -1451,8 +1456,8 @@ void Session::FillMetrics(RunMetrics* m) const {
   m->throughput_eps = m->elapsed_seconds <= 0
                           ? 0
                           : static_cast<double>(events_) / m->elapsed_seconds;
-  m->peak_memory_bytes = std::max(peak_memory_, CurrentMemory());
   m->current_memory_bytes = CurrentMemory();
+  m->peak_memory_bytes = std::max(peak_memory_, m->current_memory_bytes);
   m->dnf_windows = dnf_windows_;
   m->evicted_compositions = evicted_compositions_;
   m->hamlet = AggregateHamletStats();

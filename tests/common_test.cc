@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/id_ring.h"
 #include "src/common/memory_meter.h"
 #include "src/common/query_set.h"
 #include "src/common/rng.h"
@@ -165,6 +166,41 @@ TEST(MemoryMeterTest, TracksPeak) {
   EXPECT_EQ(m.peak(), 150);
   m.SetCurrent(500);
   EXPECT_EQ(m.peak(), 500);
+}
+
+TEST(IdRingTest, IdsGrowAndRetiredSlotsAreReused) {
+  IdRing<std::vector<int>> ring;
+  EXPECT_TRUE(ring.empty());
+  // A live range of 3 ids sliding over 100 ids: the ring never grows past
+  // its first size, and a reused slot comes back with its capacity.
+  for (int i = 0; i < 100; ++i) {
+    const IdRing<std::vector<int>>::Id id = ring.PushBack();
+    EXPECT_EQ(id, i);
+    std::vector<int>& v = ring[id];
+    if (i >= 4) {
+      EXPECT_GE(v.capacity(), 8u);  // warmed by id - 4
+    }
+    v.clear();
+    v.reserve(8);
+    v.push_back(i);
+    if (i >= 2) ring.PopFront();
+  }
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.front_id(), 98);
+  EXPECT_EQ(ring.next_id(), 100);
+  EXPECT_EQ(ring[98].front(), 98);
+  EXPECT_EQ(ring[99].front(), 99);
+}
+
+TEST(IdRingTest, GrowKeepsLiveRangeInOrder) {
+  IdRing<int> ring;
+  for (int i = 0; i < 3; ++i) ring[ring.PushBack()] = i;
+  ring.PopFront();
+  ring.PopFront();  // head has wrapped past slot 0
+  for (int i = 3; i < 20; ++i) ring[ring.PushBack()] = i;
+  EXPECT_EQ(ring.capacity(), 32u);
+  for (int id = ring.front_id(); id < ring.next_id(); ++id)
+    EXPECT_EQ(ring[id], id);
 }
 
 TEST(SpscQueueTest, PushPopFifoAndCapacity) {

@@ -2,6 +2,9 @@
 // the snapshot store, and context maps.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "src/hamlet/ctx_map.h"
 #include "src/hamlet/snapshot_store.h"
 
@@ -33,6 +36,43 @@ TEST(SnapshotStoreTest, DropContextRemovesColumn) {
   EXPECT_DOUBLE_EQ(store.Get(x, 1).count, 0);
   EXPECT_DOUBLE_EQ(store.Get(y, 2).count, 3);
   EXPECT_EQ(store.num_entries(), 1);
+}
+
+TEST(SnapshotStoreTest, RetiredColumnsReadZeroAndReuseCapacity) {
+  SnapshotStore store;
+  // Fill generations of variables, each set for one context that closes
+  // before the next generation: once every ring slot is warm, the footprint
+  // must stop growing.
+  int64_t bytes_warm = 0;
+  for (ContextId ctx = 0; ctx < 50; ++ctx) {
+    std::vector<SnapshotId> vars;
+    for (int i = 0; i < 20; ++i) {
+      vars.push_back(store.Create());
+      store.Set(vars.back(), ctx, LinAgg{.count = 1, .sum = 0, .count_e = 0});
+    }
+    EXPECT_DOUBLE_EQ(store.Get(vars.front(), ctx).count, 1);
+    store.DropContext(ctx);
+    // Retired ids keep reading zero; a stale term can never alias.
+    EXPECT_DOUBLE_EQ(store.Get(vars.front(), ctx).count, 0);
+    EXPECT_EQ(store.MemoryBytes(), store.SweepMemoryBytes());
+    if (ctx == 5) bytes_warm = store.MemoryBytes();
+  }
+  EXPECT_EQ(store.total_created(), 50 * 20);
+  EXPECT_EQ(store.num_entries(), 0);
+  EXPECT_EQ(store.MemoryBytes(), bytes_warm);
+}
+
+TEST(SnapshotStoreTest, OpenColumnHoldsRetirementBack) {
+  SnapshotStore store;
+  SnapshotId x = store.Create(), y = store.Create();
+  store.Set(x, 1, LinAgg{.count = 1, .sum = 0, .count_e = 0});
+  store.Set(y, 2, LinAgg{.count = 2, .sum = 0, .count_e = 0});
+  store.DropContext(2);  // y empties, but x (older) still holds ctx 1
+  EXPECT_DOUBLE_EQ(store.Get(x, 1).count, 1);
+  store.DropContext(1);
+  EXPECT_DOUBLE_EQ(store.Get(x, 1).count, 0);
+  EXPECT_DOUBLE_EQ(store.Get(y, 2).count, 0);
+  EXPECT_EQ(store.num_entries(), 0);
 }
 
 TEST(ExprTest, VarAndConstEval) {
@@ -98,6 +138,33 @@ TEST(ExprTest, ApplyTargetEventCrossCoefficients) {
   EXPECT_DOUBLE_EQ(v.count, 4);
   EXPECT_DOUBLE_EQ(v.sum, 7 + 10.0 * 4);
   EXPECT_DOUBLE_EQ(v.count_e, 2 + 4);
+}
+
+// An overflowed (+inf) snapshot value under a zero coefficient contributes
+// nothing: GRETA's numeric fold has no such term, so HAMLET must not turn
+// 0 * inf into NaN.
+TEST(ExprTest, ZeroCoefficientIgnoresInfiniteSnapshot) {
+  const double inf = std::numeric_limits<double>::infinity();
+  SnapshotStore store;
+  SnapshotId x = store.Create(), y = store.Create();
+  store.Set(x, 0, LinAgg{.count = inf, .sum = inf, .count_e = 0});
+  store.Set(y, 0, LinAgg{.count = 2, .sum = 3, .count_e = 4});
+  // x with alpha 1 and zero cross coefficients (no target fold after it
+  // joined): sum and count_e must not pick up 0 * inf.
+  Expr e = Expr::Var(x);
+  LinAgg v = e.Eval(store, 0);
+  EXPECT_EQ(v.count, inf);
+  EXPECT_EQ(v.sum, inf);
+  EXPECT_EQ(v.count_e, 0);
+
+  Expr only_y;
+  only_y.AddVar(y, 1.0);
+  only_y.AddVar(x, 0.0);  // a present term with all-zero coefficients
+  LinAgg w = only_y.Eval(store, 0);
+  EXPECT_DOUBLE_EQ(w.count, 2);
+  EXPECT_DOUBLE_EQ(w.sum, 3);
+  EXPECT_DOUBLE_EQ(w.count_e, 4);
+  EXPECT_DOUBLE_EQ(only_y.EvalCount(store, 0), 2);
 }
 
 TEST(ExprTest, PerContextScoping) {
