@@ -219,14 +219,16 @@ void BM_MaskedAggRowPath(benchmark::State& state) {
 BENCHMARK(BM_MaskedAggRowPath)->Arg(1000)->Arg(10000);
 
 // Row vs run propagation into the HAMLET engine: the same pre-filtered
-// bursty stream, fed per event (OnEventFiltered — one lane transition,
-// negation check and graphlet append per row) vs as contiguous runs
-// (OnRunFiltered — transitions hoisted to the run head, node-free fast
-// appends for the tail). CI asserts run >= row on this pair; the stream's
+// bursty stream, fed as length-1 runs (one lane transition, negation check
+// and graphlet append per row — what a multi-group stream whose bursts
+// interleave degrades to) vs as maximal contiguous runs (transitions
+// hoisted to the run head, node-free fast appends for the tail). Both go
+// through OnRunFiltered. CI asserts run >= row on this pair; the stream's
 // 8-long B bursts are the shape the run path is built for.
 struct PropagationSetup : EngineSetup {
   EventBatch batch;
   std::vector<RunSpan> runs;
+  std::vector<RunSpan> rows;
   QuerySet all;
 
   explicit PropagationSetup(int num_events) : EngineSetup(num_events) {
@@ -234,6 +236,14 @@ struct PropagationSetup : EngineSetup {
     all = QuerySet::FirstN(plan->num_exec());
     SegmentRuns(batch, batch.size(), /*pane_size=*/0, all,
                 /*predicated_queries=*/{}, /*masks=*/{}, &runs);
+    for (const RunSpan& run : runs) {
+      for (int i = run.row_begin; i < run.row_end; ++i) {
+        RunSpan row = run;
+        row.row_begin = i;
+        row.row_end = i + 1;
+        rows.push_back(row);
+      }
+    }
   }
 };
 
@@ -259,7 +269,7 @@ void RunPropagationBench(benchmark::State& state, PropagationSetup& setup,
 void BM_RowPropagation(benchmark::State& state) {
   PropagationSetup setup(static_cast<int>(state.range(0)));
   RunPropagationBench(state, setup, [&](HamletEngine& engine) {
-    for (const Event& e : setup.events) engine.OnEventFiltered(e, setup.all);
+    for (const RunSpan& r : setup.rows) engine.OnRunFiltered(setup.batch, r);
   });
 }
 BENCHMARK(BM_RowPropagation)->Arg(1000)->Arg(10000);

@@ -81,8 +81,8 @@ BatchResult EvalHamletBatchColumnar(const WorkloadPlan& plan,
   std::vector<RunSpan> runs;
   SegmentRuns(batch, batch.size(), /*pane_size=*/0, all,
               prog.predicated_queries(), selection.masks, &runs);
-  // The per-row loop used to rely on the engine dropping irrelevant types;
-  // the run entry point makes that filter the dispatcher's job.
+  // OnEvent drops irrelevant types itself; the run entry point makes that
+  // filter the dispatcher's job.
   const int num_types = plan.workload->schema()->num_types();
   std::vector<bool> relevant(static_cast<size_t>(num_types), false);
   for (const ExecQuery& eq : plan.exec_queries) {

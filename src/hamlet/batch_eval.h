@@ -37,8 +37,9 @@ BatchResult EvalHamletBatch(const WorkloadPlan& plan, const EventVector& events,
 
 /// Columnar variant: evaluates the plan's event predicates batch-wide over
 /// the SoA `batch` (one kernel pass per predicate over contiguous columns),
-/// then feeds each row with its precomputed pass-set through
-/// HamletEngine::OnEventFiltered. Results are bit-identical to
+/// segments the rows into same-type, same-pass-set runs (SegmentRuns) and
+/// feeds each relevant run through HamletEngine::OnRunFiltered, the
+/// runtime's dispatch path. Results are bit-identical to
 /// EvalHamletBatch over the same rows; the plan's predicate lists must have
 /// compiled (they did if Session::Open would accept the plan) — CHECK-fails
 /// otherwise.

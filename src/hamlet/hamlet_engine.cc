@@ -23,6 +23,14 @@ class PayloadCharge {
   int64_t before_;
 };
 
+/// Heap bytes one Lane::key_totals entry holds beyond its vector slot: the
+/// key's values and the per-context map's spill.
+int64_t KeyTotalBytes(
+    const std::pair<std::vector<double>, CtxMap<LinAgg>>& kt) {
+  return static_cast<int64_t>(kt.first.capacity() * sizeof(double)) +
+         kt.second.MemoryBytes();
+}
+
 }  // namespace
 
 HamletEngine::HamletEngine(const WorkloadPlan& plan, QuerySet members,
@@ -193,8 +201,24 @@ ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
   auto& open = open_ctxs_[static_cast<size_t>(ctx.exec_id)];
   open.erase(std::remove(open.begin(), open.end(), ctx_id), open.end());
   store_.DropContext(ctx_id);
+  // Drop the context from the equality-keyed totals, and a key with it once
+  // no open context holds a total for it: a later graphlet with that key
+  // recreates the entry, so the list stays bounded by the keys live in open
+  // windows instead of every key ever seen.
   for (Lane& lane : lanes_) {
-    for (auto& [key, totals] : lane.key_totals) totals.Erase(ctx_id);
+    auto& key_totals = lane.key_totals;
+    for (size_t i = 0; i < key_totals.size();) {
+      key_totals[i].second.Erase(ctx_id);
+      if (key_totals[i].second.size() > 0) {
+        ++i;
+        continue;
+      }
+      meter_.Sub(KeyTotalBytes(key_totals[i]));
+      if (i + 1 < key_totals.size()) {
+        key_totals[i] = std::move(key_totals.back());
+      }
+      key_totals.pop_back();
+    }
   }
   // The slot keeps its vector capacities for the id that reuses it.
   contexts_.Close(ctx_id);
@@ -236,10 +260,9 @@ void HamletEngine::OnPaneEnd() {
 }
 
 void HamletEngine::OnEvent(const Event& e) {
-  // Row path: evaluate this event's predicates here, then join the shared
-  // body. The columnar path computed the same passes-set batch-wide and
-  // calls OnEventFiltered directly; keeping one body is what makes the two
-  // paths bit-identical.
+  // Reference path: evaluate this event's predicates here with the scalar
+  // evaluator, then join the shared body. OnRunFiltered receives the same
+  // pass-set computed batch-wide by the compiled kernels.
   if (e.type < 0 || e.type >= num_types_ ||
       !type_relevant_[static_cast<size_t>(e.type)]) {
     HAMLET_DCHECK(e.time > last_time_);
@@ -253,13 +276,6 @@ void HamletEngine::OnEvent(const Event& e) {
         if (PassesEventPredicates(Exec(q).event_predicates, e))
           passes.Insert(q);
       });
-  OnEventFiltered(e, passes);
-}
-
-void HamletEngine::OnEventFiltered(const Event& e, const QuerySet& passes) {
-  // A single-row run: ProcessRun is exactly the old per-event body, which
-  // is what keeps the row and run paths one body and their emissions
-  // bit-identical.
   ProcessRun(e, passes);
 }
 
@@ -302,14 +318,14 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
     events_this_pane_ += n;
     return;
   }
-  // Stage the pane counter the way the row path observes it: the only
+  // Stage the pane counter the way per-row ProcessRun observes it: the only
   // mid-run reader is WindowEventsEstimate() at the burst open (row 0),
-  // which the row path reaches with exactly one event counted.
+  // which a per-row replay reaches with exactly one event counted.
   ++events_this_pane_;
 
   // One lane transition per run: after row 0 no foreign lane can become
   // active (only lanes of the run's type activate), so the remaining rows'
-  // sweeps are no-ops in the row path.
+  // sweeps are no-ops in a per-row replay.
   CloseForeignLanes(e0, touched);
   ApplyNegation(e0, neg_matched);
 
@@ -465,10 +481,10 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
     g->extra_events += n;
   });
 
-  // Slow sub-targets replay row-major, preserving the row path's within-row
-  // order (shared append, then solos in id order): a scanning append reads
-  // this lane's live graphlet nodes with no future-time filter, so it must
-  // never observe rows later than its own.
+  // Slow sub-targets replay row-major, preserving per-row ProcessRun's
+  // within-row order (shared append, then solos in id order): a scanning
+  // append reads this lane's live graphlet nodes with no future-time filter,
+  // so it must never observe rows later than its own.
   const bool shared_slow = shared != nullptr && !shared_fast;
   if (shared_slow || !slow_solo.Empty()) {
     const Event* rows = MaterializedRows(batch, begin, end);
@@ -1094,10 +1110,17 @@ void HamletEngine::FoldGraphlet(Lane& lane, Graphlet& g) {
           if (k == key) totals = &t;
         }
         if (totals == nullptr) {
+          const size_t slots = lane.key_totals.capacity();
           lane.key_totals.emplace_back(key, CtxMap<LinAgg>());
+          meter_.Add(
+              static_cast<int64_t>((lane.key_totals.capacity() - slots) *
+                                   sizeof(lane.key_totals[0])) +
+              KeyTotalBytes(lane.key_totals.back()));
           totals = &lane.key_totals.back().second;
         }
+        const int64_t spill = totals->MemoryBytes();
         totals->Mut(c).Add(running.Eval(store_, c));
+        meter_.Add(totals->MemoryBytes() - spill);
         stats_.ops += running.num_terms();
       }
     }
@@ -1179,6 +1202,11 @@ int64_t HamletEngine::SweepMemoryBytes() const {
   bytes += graphlet_pool_.bytes_reserved();
   for (const Graphlet* g : graphlet_pool_.objects())
     bytes += g->SweepMemoryBytes();
+  for (const Lane& lane : lanes_) {
+    bytes += static_cast<int64_t>(lane.key_totals.capacity() *
+                                  sizeof(lane.key_totals[0]));
+    for (const auto& kt : lane.key_totals) bytes += KeyTotalBytes(kt);
+  }
   return bytes + store_.SweepMemoryBytes() + contexts_.SweepMemoryBytes();
 }
 

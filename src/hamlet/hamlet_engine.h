@@ -99,35 +99,40 @@ class HamletEngine {
   /// Pane lifecycle. Events must arrive strictly increasing in time and
   /// within [pane start, pane end).
   void OnPaneStart(Timestamp pane_start);
+  /// Reference entry point: evaluates `e`'s event predicates per event with
+  /// the scalar PassesEventPredicates, then runs the same ProcessRun body as
+  /// a length-1 run. Used by EvalHamletBatch (the engine-level reference the
+  /// compiled kernels are checked against) and engine unit tests; the
+  /// runtime feeds engines through OnRunFiltered only.
   void OnEvent(const Event& e);
-  /// Columnar dispatch: like OnEvent, but event-predicate evaluation already
-  /// happened batch-wide (src/query/columnar_predicate.h) — `passes` holds
-  /// every exec query whose predicates `e` satisfies (bits for queries
-  /// outside this engine's members are ignored). OnEvent is a thin wrapper
-  /// computing `passes` per row, so the two paths are bit-identical.
-  void OnEventFiltered(const Event& e, const QuerySet& passes);
   /// Run-granular dispatch: feeds one segmented run (same type, same
   /// pass-set, one pane — see src/query/run_segmenter.h) in a single call.
-  /// Lane transitions (CloseForeignLanes / ApplyNegation / burst open +
-  /// sharing decision) happen once per run, and write-only graphlets take
-  /// hoisted snapshot-count propagation loops over the whole run instead of
-  /// per-event dispatch. Emissions are bit-identical to feeding the span's
-  /// rows through OnEventFiltered one by one: both are the same ProcessRun
-  /// body, and every hoist replays the row path's exact FP op sequence.
+  /// Event-predicate evaluation already happened batch-wide
+  /// (src/query/columnar_predicate.h): `run.passes` holds every exec query
+  /// whose predicates all of the run's rows satisfy (bits for queries
+  /// outside this engine's members are ignored). Lane transitions
+  /// (CloseForeignLanes / ApplyNegation / burst open + sharing decision)
+  /// happen once per run, and write-only graphlets take hoisted
+  /// snapshot-count propagation loops over the whole run. A length-1 run is
+  /// exactly one ProcessRun call; longer runs give bit-identical emissions
+  /// to feeding their rows one by one, because every hoist replays the
+  /// per-row ProcessRun FP op sequence.
   void OnRunFiltered(const EventBatch& batch, const RunSpan& run);
   void OnPaneEnd();
 
   /// Logical memory footprint (paper's metric: stored events, snapshot
   /// expressions and values, per-context tables), in capacity held: arena
   /// blocks, every pooled graphlet's payload capacities (live and recycled),
-  /// snapshot columns and context slots. Kept as a running count charged
-  /// where capacity is acquired or released, so the read is O(1).
+  /// snapshot columns, context slots and the equality-keyed totals. Kept as
+  /// a running count charged where capacity is acquired or released, so the
+  /// read is O(1).
   int64_t MemoryBytes() const {
     return static_cast<int64_t>(sizeof(HamletEngine)) + meter_.current() +
            store_.MemoryBytes() + contexts_.MemoryBytes();
   }
   /// MemoryBytes() recomputed by walking the arena pool, every graphlet and
-  /// node, the snapshot columns and the context slots: the reference the
+  /// node, the snapshot columns, the context slots and the equality-keyed
+  /// totals: the reference the
   /// running count is tested against. Cost grows with the engine's state;
   /// keep it off any hot path.
   int64_t SweepMemoryBytes() const;
@@ -181,7 +186,8 @@ class HamletEngine {
     /// kSharedScan: all edge predicates are equality -> partitioned running
     /// sums replace per-event stored-node scans (O(terms) per event).
     bool scan_all_equality = false;
-    /// Cross-graphlet per-equality-key payload totals, per context.
+    /// Cross-graphlet per-equality-key payload totals, per context. A key
+    /// leaves once its last context closes; metered in meter_.
     std::vector<std::pair<std::vector<double>, CtxMap<LinAgg>>> key_totals;
     /// kSharedScan: the members' (identical) edge predicates.
     const std::vector<EdgePredicate>* shared_edge_preds = nullptr;
@@ -196,8 +202,8 @@ class HamletEngine {
 
   // --- event path ---
   /// One filtered event through the full per-event pipeline (transition,
-  /// negation, lane inserts): the old OnEventFiltered body, shared with
-  /// OnRunFiltered's run-head row and its per-row fallback.
+  /// negation, lane inserts): OnEvent's body, shared with OnRunFiltered's
+  /// length-1 runs, run-head row and per-row fallback.
   void ProcessRun(const Event& e, const QuerySet& passes);
   /// Appends batch rows [begin, end) (the run's tail: the head row went
   /// through InsertIntoLane) to the lane's open graphlets. Write-only
@@ -277,8 +283,9 @@ class HamletEngine {
   SnapshotStore store_;
   ContextRing contexts_;
   std::vector<std::vector<ContextId>> open_ctxs_;  ///< per exec id
-  /// Arena blocks plus graphlet payload capacities; the store and the
-  /// context ring keep their own counts (see MemoryBytes).
+  /// Arena blocks, graphlet payload capacities and the lanes' key_totals;
+  /// the store and the context ring keep their own counts (see
+  /// MemoryBytes).
   MemoryMeter meter_;
 
   /// Last arrival of a leading-negated event per exec (blocks starts for

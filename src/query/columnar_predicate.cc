@@ -137,7 +137,7 @@ void PredicateProgram::EvalBatch(const EventBatch& batch,
       if (col != nullptr) {
         CmpColumnKernel(p.op, col, rows, p.constant, out->tmp.data());
       } else {
-        // No row ever carried this attribute: the row path reads the
+        // No row ever carried this attribute: the scalar evaluator reads the
         // zero-initialized attrs slot, so compare 0.0 once and broadcast.
         const uint8_t pass = EvalCmp(p.op, 0.0, p.constant) ? 1 : 0;
         if (rows > 0)

@@ -1,6 +1,7 @@
 // Columnar predicate evaluation: compiled kernels over EventBatch columns.
 //
-// The row path evaluates EventPredicate lists per event, per query, with a
+// The scalar evaluator (PassesEventPredicates: HamletEngine::OnEvent and the
+// baseline engines) walks EventPredicate lists per event, per query, with a
 // branchy CmpOp switch per predicate. This layer compiles each exec query's
 // event predicates ONCE (at plan-compile / Session::Open time) into
 // {type id, column id, op, constant} kernels and evaluates them over whole
@@ -10,9 +11,10 @@
 // packed into per-query selection bitmaps.
 //
 // Semantics are EXACTLY EvalCmp's IEEE-754 comparisons — NaN fails every op
-// except kNe — so row and columnar paths select bit-identical event sets.
+// except kNe — so the kernels and the scalar evaluator select bit-identical
+// event sets.
 // Compile() also surfaces unresolved predicate type/attribute names as
-// kInvalidArgument, turning what the row path deferred to a per-event
+// kInvalidArgument, turning what the scalar evaluator defers to a per-event
 // DCHECK into an Open-time error.
 #ifndef HAMLET_QUERY_COLUMNAR_PREDICATE_H_
 #define HAMLET_QUERY_COLUMNAR_PREDICATE_H_
@@ -104,9 +106,6 @@ class PredicateProgram {
   /// attribute id is unresolved or out of schema range.
   static Result<PredicateProgram> Compile(const Schema& schema,
                                           std::span<const PredicateList> lists);
-
-  /// True when no exec query has event predicates (EvalBatch is a no-op).
-  bool trivial() const { return queries_.empty(); }
 
   /// Exec ids with at least one predicate, in mask order.
   const std::vector<int>& predicated_queries() const { return pred_execs_; }

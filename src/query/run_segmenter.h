@@ -39,11 +39,10 @@ struct RunSpan {
 /// allocation-free once warm).
 ///
 /// `masks` / `predicated_queries` are PredicateProgram::EvalBatch output and
-/// PredicateProgram::predicated_queries() (both may be empty for a trivial
-/// program: every run then passes `all_execs`). Each run's `passes` is
-/// `all_execs` minus the predicated queries whose mask is 0 on the run —
-/// bit-identical to the per-row PassesForRow computation, hoisted to once
-/// per run.
+/// PredicateProgram::predicated_queries() (both may be empty for a program
+/// without predicates: every run then passes `all_execs`). Each run's
+/// `passes` is `all_execs` minus the predicated queries whose mask is 0 on
+/// the run: the per-row pass-set, computed once per run.
 ///
 /// `pane_size` > 0 splits runs at pane boundaries using the same integer
 /// quotient the runtime's pane advance uses (`time / pane_size`);

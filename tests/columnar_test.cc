@@ -1,9 +1,11 @@
 // Columnar hot-path tests.
 //
-// Pins down the three contracts the columnar refactor introduced:
-//  1. EQUIVALENCE — for every engine kind and shard count, running a stream
-//     with RunConfig::columnar on yields the BIT-IDENTICAL emission set the
-//     row path produces (values compared with EXPECT_EQ, not tolerances).
+// Pins down the three contracts of the columnar layer:
+//  1. EQUIVALENCE — EvalHamletBatchColumnar (compiled predicate kernels +
+//     run dispatch) yields BIT-IDENTICAL values to EvalHamletBatch (scalar
+//     per-event predicates), compared with EXPECT_EQ, not tolerances. The
+//     end-to-end runtime is checked against the brute-force enumerator in
+//     tests/run_propagation_test.cc.
 //  2. KERNEL SEMANTICS — CmpColumnKernel/TypeGateAnd/PackMask/
 //     MaskedLinAggKernel agree element-for-element with the scalar row path
 //     (EvalCmp), including IEEE NaN behaviour and empty/full selections.
@@ -29,12 +31,10 @@
 #include <string>
 #include <vector>
 
-#include "src/benchlib/workloads.h"
 #include "src/common/arena.h"
 #include "src/query/columnar_predicate.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
 #include "src/stream/event_batch.h"
 #include "src/stream/stream_builder.h"
 
@@ -79,12 +79,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace hamlet {
 namespace {
 
-constexpr EngineKind kAllKinds[] = {
-    EngineKind::kHamletDynamic, EngineKind::kHamletStatic,
-    EngineKind::kHamletNoShare, EngineKind::kGretaGraph,
-    EngineKind::kGretaPrefix,   EngineKind::kTwoStep,
-    EngineKind::kSharon};
-
 constexpr CmpOp kAllOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
                              CmpOp::kGe, CmpOp::kEq, CmpOp::kNe};
 
@@ -94,117 +88,8 @@ void ExpectSameValue(double a, double b, const std::string& label) {
   EXPECT_EQ(a, b) << label;
 }
 
-void ExpectSameEmissionSet(const std::vector<Emission>& expected,
-                           const std::vector<Emission>& actual,
-                           const std::string& label) {
-  ASSERT_EQ(expected.size(), actual.size()) << label;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    const Emission& a = expected[i];
-    const Emission& b = actual[i];
-    const std::string at = label + " emission #" + std::to_string(i);
-    EXPECT_EQ(a.query, b.query) << at;
-    EXPECT_EQ(a.query_name, b.query_name) << at;
-    EXPECT_EQ(a.group_key, b.group_key) << at;
-    EXPECT_EQ(a.window_start, b.window_start) << at;
-    EXPECT_EQ(a.window_end, b.window_end) << at;
-    ExpectSameValue(a.value, b.value, at);
-  }
-}
-
-// Runs `ev` through a ShardedSession in fixed-size chunks and returns the
-// normalized emission set.
-std::vector<Emission> RunSharded(const WorkloadPlan& plan,
-                                 const RunConfig& config, int shards,
-                                 const EventVector& ev) {
-  RunConfig cfg = config;
-  cfg.num_shards = shards;
-  CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, cfg, &sink);
-  HAMLET_CHECK(session.ok());
-  constexpr size_t kChunk = 64;
-  for (size_t i = 0; i < ev.size(); i += kChunk) {
-    const size_t len = std::min(kChunk, ev.size() - i);
-    Status s = session.value()->PushBatch(
-        std::span<const Event>(ev.data() + i, len));
-    EXPECT_TRUE(s.ok()) << s.ToString();
-  }
-  if (!ev.empty()) {
-    EXPECT_TRUE(session.value()->AdvanceTo(ev.back().time).ok());
-  }
-  EXPECT_TRUE(session.value()->Close().ok());
-  return sink.Take();
-}
-
 // ---------------------------------------------------------------------------
-// 1. Row-vs-columnar emission equivalence, all engines x shard counts.
-
-void CheckRowColumnarEquivalence(const BenchWorkload& bw,
-                                 const EventVector& ev,
-                                 const std::string& workload_label) {
-  for (EngineKind kind : kAllKinds) {
-    // Row-path baseline: plain Session, columnar off.
-    RunConfig row;
-    row.kind = kind;
-    row.columnar = false;
-    StreamExecutor row_exec(*bw.plan, row);
-    RunOutput baseline = row_exec.Run(ev);
-    ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
-    ASSERT_GT(baseline.emissions.size(), 0u)
-        << workload_label << "/" << EngineKindName(kind);
-
-    RunConfig columnar = row;
-    columnar.columnar = true;
-    for (int shards : {1, 2, 4, 8}) {
-      std::vector<Emission> got =
-          RunSharded(*bw.plan, columnar, shards, ev);
-      ExpectSameEmissionSet(
-          baseline.emissions, got,
-          workload_label + "/" + EngineKindName(kind) + "/columnar/N=" +
-              std::to_string(shards));
-    }
-    // And the row path itself must be shard-invariant with columnar off
-    // (guards against the equivalence holding only because both paths
-    // took the batch branch).
-    std::vector<Emission> row_sharded = RunSharded(*bw.plan, row, 2, ev);
-    ExpectSameEmissionSet(
-        baseline.emissions, row_sharded,
-        workload_label + "/" + EngineKindName(kind) + "/row/N=2");
-  }
-}
-
-TEST(RowColumnarEquivalence, Workload1WithPredicatesAllEnginesAllShards) {
-  BenchWorkload bw = MakeWorkload1("ridesharing", 5,
-                                   /*window_ms=*/5 * kMillisPerSecond,
-                                   /*with_predicate=*/true);
-  GeneratorConfig gen;
-  gen.seed = 1234;
-  gen.events_per_minute = 500;
-  gen.duration_minutes = 1;
-  gen.num_groups = 8;
-  gen.burstiness = 0.6;
-  gen.max_burst = 8;
-  EventVector ev = bw.generator->Generate(gen);
-  CheckRowColumnarEquivalence(bw, ev, "w1");
-}
-
-TEST(RowColumnarEquivalence, Workload2DiverseAllEnginesAllShards) {
-  BenchWorkload bw = MakeWorkload2(6);
-  // Kept deliberately small: the two-step baseline's trend enumeration is
-  // superlinear in Kleene-run length, and this sweep runs it 10 times
-  // (row + 4 shard counts + guards) under ASan in CI.
-  GeneratorConfig gen;
-  gen.seed = 99;
-  gen.events_per_minute = 150;
-  gen.duration_minutes = 1;
-  gen.num_groups = 4;
-  gen.burstiness = 0.5;
-  gen.max_burst = 4;
-  EventVector ev = bw.generator->Generate(gen);
-  CheckRowColumnarEquivalence(bw, ev, "w2");
-}
-
-// Engine-level batch equivalence: EvalHamletBatchColumnar over the SoA batch
+// 1. Engine-level equivalence: EvalHamletBatchColumnar over the SoA batch
 // vs EvalHamletBatch over the rows, for a workload with event predicates.
 TEST(RowColumnarEquivalence, EvalHamletBatchColumnarMatchesRowPath) {
   Schema schema;
@@ -327,7 +212,6 @@ TEST(PredicateKernels, ProgramEvalBatchEmptyAndFullSelections) {
       .ok();
   WorkloadPlan plan = AnalyzeWorkload(workload).value();
   PredicateProgram program = CompilePredicateProgram(plan).value();
-  ASSERT_FALSE(program.trivial());
   ASSERT_EQ(program.predicated_queries().size(), 2u);
 
   StreamBuilder sb(&schema);
@@ -421,16 +305,12 @@ TEST(OpenValidation, UnresolvedPredicateAttrFailsOpen) {
   ASSERT_FALSE(plan.exec_queries[0].event_predicates.empty());
   plan.exec_queries[0].event_predicates[0].attr = 99;
 
-  for (bool columnar : {true, false}) {
-    RunConfig config;
-    config.columnar = columnar;
-    CollectingSink sink;
-    Result<std::unique_ptr<Session>> session =
-        Session::Open(plan, config, &sink);
-    ASSERT_FALSE(session.ok()) << "columnar=" << columnar;
-    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
-        << session.status().ToString();
-  }
+  CollectingSink sink;
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, RunConfig(), &sink);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+      << session.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +381,7 @@ TEST(ObjectPoolTest, AcquireReleaseRecyclesWithCapacitiesKept) {
 // Warm a session until every capacity (staging batch, selection bitmaps,
 // pooled graphlet node vectors, snapshot store) has seen its steady-state
 // size, then assert that pushing another same-pane burst through the
-// columnar hot path performs ZERO heap allocations. Kleene bursts are the
+// session hot path performs ZERO heap allocations. Kleene bursts are the
 // paper's stress axis, so this is exactly the loop that used to pay one
 // malloc/free per graphlet and several per event.
 
@@ -517,7 +397,6 @@ void CheckZeroSteadyStateAllocations(EngineKind kind) {
 
   RunConfig config;
   config.kind = kind;
-  config.columnar = true;
   // No sink: emissions drop, so window closes cannot allocate in a sink
   // buffer (closures happen outside the measured region anyway).
   Result<std::unique_ptr<Session>> opened =
@@ -553,8 +432,8 @@ void CheckZeroSteadyStateAllocations(EngineKind kind) {
   push_run(1005, "C", 1, 1.0);
   push_run(1010, "B", 600, 1.0);
 
-  // Measured region: one more same-pane burst, staged and dispatched through
-  // the columnar path. Events stay inside pane 1, so no windows open or
+  // Measured region: one more same-pane burst, staged, filtered and
+  // dispatched as runs. Events stay inside pane 1, so no windows open or
   // close and no graphlets are acquired — pure steady-state appends.
   EventVector burst;
   for (int i = 0; i < 200; ++i) {

@@ -2,7 +2,8 @@
 //
 // HamletEngine::MemoryBytes() is a running count charged where capacity is
 // acquired or released; SweepMemoryBytes() recomputes the same definition
-// by walking every graphlet, node, snapshot column and context slot. These
+// by walking every graphlet, node, snapshot column, context slot and
+// equality-keyed total. These
 // tests pin (1) that the two agree at every pane boundary of the seeded
 // session streams, for every sharing policy, and (2) that engine state is
 // bounded: a 16x longer stream ends with the same footprint and the same
@@ -284,6 +285,63 @@ TEST_F(BoundedState, ContextSlotsTrackOpenWindows) {
       EXPECT_EQ(trace.slots, short_trace.slots)
           << ShareName(share) << " group " << key;
     }
+  }
+}
+
+// Equality-keyed totals (Lane::key_totals) are per key and per context: a
+// key leaves once the last window holding a total for it closes. The
+// equality attribute takes fresh values every window, so a list that kept
+// every key ever seen would grow with stream length. The stream is
+// periodic (types, gaps and keys repeat every 120 ms), so every other
+// structure reaches its steady size within the 1x stream.
+TEST(BoundedKeyTotals, FreshEqualityKeysDoNotAccumulate) {
+  Schema schema;
+  schema.AddAttr("v");
+  schema.AddAttr("g");
+  Workload workload(&schema);
+  for (const char* text :
+       {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE [v] WITHIN 40 ms SLIDE 10 ms",
+        "RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE [v] "
+        "WITHIN 40 ms SLIDE 10 ms"}) {
+    ASSERT_TRUE(workload.Add(ParseQuery(text).value()).ok());
+  }
+  WorkloadPlan plan = AnalyzeWorkload(workload).value();
+  ASSERT_EQ(plan.share_groups.size(), 1u);
+  auto stream = [&](int n) {
+    static constexpr const char* kCycle[] = {"A", "C", "B", "B", "B", "B"};
+    EventVector ev;
+    Timestamp t = 1;
+    for (int i = 0; i < n; ++i) {
+      Event e(t, schema.AddType(kCycle[i % 6]));
+      // Four keys per 40 ms window, none of them seen in earlier windows.
+      e.set_attr(0, static_cast<double>((t / 40) * 4 + i % 4));
+      e.set_attr(1, 0.0);
+      ev.push_back(e);
+      t += 1 + i % 3;
+    }
+    return ev;
+  };
+  const EventVector short_ev = stream(600);
+  const EventVector long_ev = stream(16 * 600);
+  ExpectMeterEqualsSweep(plan, short_ev, "fresh_keys");
+  for (EngineKind kind :
+       {EngineKind::kHamletNoShare, EngineKind::kHamletStatic,
+        EngineKind::kHamletDynamic}) {
+    auto end_of_stream = [&](const EventVector& ev) {
+      RunConfig config;
+      config.kind = kind;
+      Result<std::unique_ptr<Session>> session =
+          Session::Open(plan, config, nullptr);
+      HAMLET_CHECK(session.ok());
+      HAMLET_CHECK(session.value()->PushBatch(ev).ok());
+      return session.value()->Close().value().current_memory_bytes;
+    };
+    const int64_t short_bytes = end_of_stream(short_ev);
+    const int64_t long_bytes = end_of_stream(long_ev);
+    ASSERT_GT(short_bytes, 0) << EngineKindName(kind);
+    EXPECT_LE(std::llabs(long_bytes - short_bytes), short_bytes / 20)
+        << EngineKindName(kind) << ": 1x " << short_bytes << " B, 16x "
+        << long_bytes << " B";
   }
 }
 

@@ -1,19 +1,25 @@
-// Run-granular propagation: segmenter unit tests plus the knob's
-// end-to-end contract — emissions are bit-identical with run_propagation
-// on and off, for every engine kind, across shard counts and concurrent
-// producer counts. The baseline for every cell is the single-threaded
-// row-path StreamExecutor run, so the matrix also re-proves the columnar
-// and sharding equivalences it composes with.
+// Run-granular propagation: segmenter unit tests plus the runtime's
+// end-to-end contract against an independent oracle. For every engine kind,
+// shard count and producer count, each emission must equal the brute-force
+// enumerator's value for its (query, group, window) (tests/
+// brute_reference.h), and every window holding a relevant event must be
+// emitted exactly once. Run dispatch is the runtime's only path to the
+// engines, so this matrix covers staging, predicate kernels, segmentation,
+// sharding and multi-producer sequencing together.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/baselines/sharon_engine.h"
 #include "src/benchlib/workloads.h"
+#include "src/common/rng.h"
+#include "src/query/parser.h"
 #include "src/query/run_segmenter.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/sharded_session.h"
+#include "tests/brute_reference.h"
 
 namespace hamlet {
 namespace {
@@ -107,28 +113,7 @@ TEST(RunSegmenter, SplitsOnPassSetFlipAcrossMaskWords) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end equivalence matrix.
-
-void ExpectSameValue(double a, double b, const std::string& label) {
-  if (std::isnan(a) && std::isnan(b)) return;
-  EXPECT_EQ(a, b) << label;
-}
-
-void ExpectSameEmissionSet(const std::vector<Emission>& expected,
-                           const std::vector<Emission>& actual,
-                           const std::string& label) {
-  ASSERT_EQ(expected.size(), actual.size()) << label;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    const Emission& a = expected[i];
-    const Emission& b = actual[i];
-    const std::string at = label + " emission #" + std::to_string(i);
-    EXPECT_EQ(a.query, b.query) << at;
-    EXPECT_EQ(a.group_key, b.group_key) << at;
-    EXPECT_EQ(a.window_start, b.window_start) << at;
-    EXPECT_EQ(a.window_end, b.window_end) << at;
-    ExpectSameValue(a.value, b.value, at);
-  }
-}
+// End-to-end matrix against the brute-force reference.
 
 void FeedProducers(ShardedSession* session, const EventVector& ev,
                    int num_producers) {
@@ -153,7 +138,81 @@ void FeedProducers(ShardedSession* session, const EventVector& ev,
   for (std::thread& t : threads) t.join();
 }
 
-TEST(RunPropagation, EmissionsIdenticalOnAndOffAcrossShardsAndProducers) {
+// Runs `ev` through every engine kind x 1/2/4 shards x (chunked session
+// PushBatch, 1 producer, 2 producers) and checks each run against the
+// brute-force reference (`rel_tol`: see test::ExpectEmissionsMatch).
+void CheckAllEnginesAgainstBruteReference(const WorkloadPlan& plan,
+                                          const EventVector& ev,
+                                          double rel_tol = 0.0) {
+  ASSERT_FALSE(ev.empty());
+  const test::ReferenceMap ref = test::BruteReference(plan, ev);
+  // SHARON emits nothing for patterns it cannot flatten.
+  const SharonEngine sharon(plan, QuerySet::FirstN(plan.num_exec()),
+                            RunConfig().sharon_max_length);
+  for (EngineKind kind : kAllKinds) {
+    auto expect_emits = [&](QueryId q) {
+      if (kind != EngineKind::kSharon) return true;
+      const CompositionRule& rule =
+          plan.compositions[static_cast<size_t>(q)];
+      for (int exec : rule.exec_ids) {
+        if (!sharon.Supported(exec)) return false;
+      }
+      return true;
+    };
+    for (int shards : {1, 2, 4}) {
+      for (int producers : {0, 1, 2}) {
+        const std::string label =
+            std::string(EngineKindName(kind)) +
+            "/N=" + std::to_string(shards) +
+            (producers == 0 ? "/session" : "/P=" + std::to_string(producers));
+        SCOPED_TRACE(label);
+        RunConfig config;
+        config.kind = kind;
+        config.num_shards = shards;
+        CollectingSink sink;
+        Result<std::unique_ptr<ShardedSession>> opened =
+            ShardedSession::Open(plan, config, &sink);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        ShardedSession& session = *opened.value();
+        if (producers == 0) {
+          // Session-level chunked PushBatch: chunk length 48 keeps most
+          // bursts whole while still exercising mid-burst chunk seams.
+          for (size_t j = 0; j < ev.size(); j += 48) {
+            const size_t len = std::min<size_t>(48, ev.size() - j);
+            ASSERT_TRUE(
+                session.PushBatch(std::span<const Event>(ev.data() + j, len))
+                    .ok());
+          }
+          ASSERT_TRUE(session.AdvanceTo(ev.back().time).ok());
+        } else {
+          FeedProducers(&session, ev, producers);
+        }
+        Result<RunMetrics> metrics = session.Close();
+        ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+        const std::vector<Emission> emissions = sink.Take();
+        test::ExpectEmissionsMatch(emissions, ref, label, rel_tol);
+        test::ExpectRelevantWindowsEmitted(emissions, plan, ev, label,
+                                           expect_emits);
+        EXPECT_EQ(metrics.value().events, static_cast<int64_t>(ev.size()))
+            << label;
+        EXPECT_EQ(metrics.value().emissions,
+                  static_cast<int64_t>(emissions.size()))
+            << label;
+        EXPECT_EQ(metrics.value().dnf_windows, 0) << label;
+        // The log2 run-length histogram partitions exactly the dispatched
+        // runs, and every event reaches the engines inside some run.
+        int64_t hist_total = 0;
+        for (int64_t bucket : metrics.value().run_len_hist)
+          hist_total += bucket;
+        EXPECT_GT(metrics.value().runs, 0) << label;
+        EXPECT_LE(metrics.value().runs, metrics.value().events) << label;
+        EXPECT_EQ(hist_total, metrics.value().runs) << label;
+      }
+    }
+  }
+}
+
+TEST(RunPropagation, AllEnginesMatchBruteReferenceAcrossShardsAndProducers) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
   GeneratorConfig gen;
@@ -163,73 +222,74 @@ TEST(RunPropagation, EmissionsIdenticalOnAndOffAcrossShardsAndProducers) {
   gen.num_groups = 8;
   gen.burstiness = 0.7;  // bursty: real multi-row runs, not length-1 spans
   gen.max_burst = 10;
-  EventVector ev = bw.generator->Generate(gen);
-  ASSERT_FALSE(ev.empty());
+  CheckAllEnginesAgainstBruteReference(*bw.plan, bw.generator->Generate(gen));
+}
 
-  for (EngineKind kind : kAllKinds) {
-    // Baseline: single-threaded row-path batch run of the same stream.
-    RunConfig ref_config;
-    ref_config.kind = kind;
-    StreamExecutor executor(*bw.plan, ref_config);
-    RunOutput ref = executor.Run(ev);
-    ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
-    ASSERT_GT(ref.emissions.size(), 0u) << EngineKindName(kind);
+// The [driver] equivalence edge predicate on every query: HAMLET's
+// equality-keyed shared scan, checked end to end, per engine.
+TEST(RunPropagation, EqualityEdgePredicateMatchesBruteReference) {
+  BenchWorkload bw = MakeWorkload1("ridesharing", 5,
+                                   /*window_ms=*/5 * kMillisPerSecond,
+                                   /*with_predicate=*/true);
+  GeneratorConfig gen;
+  gen.seed = 1234;
+  gen.events_per_minute = 500;
+  gen.duration_minutes = 1;
+  gen.num_groups = 8;
+  gen.burstiness = 0.6;
+  gen.max_burst = 8;
+  CheckAllEnginesAgainstBruteReference(*bw.plan, bw.generator->Generate(gen));
+}
 
-    for (int shards : {1, 2, 4}) {
-      for (int producers : {0, 1, 2}) {
-        for (bool run_propagation : {false, true}) {
-          const std::string label =
-              std::string(EngineKindName(kind)) +
-              "/N=" + std::to_string(shards) +
-              (producers == 0 ? "/session" : "/P=" + std::to_string(producers)) +
-              (run_propagation ? "/runs" : "/rows");
-          SCOPED_TRACE(label);
-          RunConfig config;
-          config.kind = kind;
-          config.num_shards = shards;
-          config.columnar = true;
-          config.run_propagation = run_propagation;
-          CollectingSink sink;
-          Result<std::unique_ptr<ShardedSession>> opened =
-              ShardedSession::Open(*bw.plan, config, &sink);
-          ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-          ShardedSession& session = *opened.value();
-          if (producers == 0) {
-            // Session-level chunked PushBatch: chunk length 48 keeps most
-            // bursts whole while still exercising mid-burst chunk seams.
-            for (size_t j = 0; j < ev.size(); j += 48) {
-              const size_t len = std::min<size_t>(48, ev.size() - j);
-              ASSERT_TRUE(
-                  session
-                      .PushBatch(std::span<const Event>(ev.data() + j, len))
-                      .ok());
-            }
-            ASSERT_TRUE(session.AdvanceTo(ev.back().time).ok());
-          } else {
-            FeedProducers(&session, ev, producers);
-          }
-          Result<RunMetrics> metrics = session.Close();
-          ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-          ExpectSameEmissionSet(ref.emissions, sink.Take(), label);
-          EXPECT_EQ(ref.metrics.events, metrics.value().events) << label;
-          EXPECT_EQ(ref.metrics.emissions, metrics.value().emissions)
-              << label;
-          // Run-shape metrics flow only from the run path, and the log2
-          // length histogram partitions exactly the dispatched runs.
-          int64_t hist_total = 0;
-          for (int64_t bucket : metrics.value().run_len_hist)
-            hist_total += bucket;
-          if (run_propagation) {
-            EXPECT_GT(metrics.value().runs, 0) << label;
-            EXPECT_EQ(hist_total, metrics.value().runs) << label;
-          } else {
-            EXPECT_EQ(metrics.value().runs, 0) << label;
-            EXPECT_EQ(hist_total, 0) << label;
-          }
-        }
-      }
-    }
+// Selective event predicates that differ per query: the compiled kernels'
+// selection bitmaps and the segmenter's pass-set splits decide which rows
+// each query sees, so a wrong pass-set shows up as a wrong value.
+TEST(RunPropagation, SelectiveEventPredicatesMatchBruteReference) {
+  Schema schema;
+  schema.AddAttr("v");
+  schema.AddAttr("g");
+  Workload workload(&schema);
+  for (const char* text :
+       {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v > 4 GROUPBY g "
+        "WITHIN 40 ms",
+        "RETURN SUM(B.v) PATTERN SEQ(C, B+) WHERE B.v < 7 GROUPBY g "
+        "WITHIN 40 ms",
+        "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE A.v >= 3 GROUPBY g "
+        "WITHIN 40 ms SLIDE 20 ms"}) {
+    ASSERT_TRUE(workload.Add(ParseQuery(text).value()).ok());
   }
+  WorkloadPlan plan = AnalyzeWorkload(workload).value();
+  Rng rng(4242);
+  EventVector ev;
+  Timestamp t = 1;
+  const char* alphabet[] = {"A", "B", "B", "C"};
+  for (int i = 0; i < 400; ++i) {
+    Event e(t, schema.AddType(alphabet[rng.NextBelow(4)]));
+    e.set_attr(0, static_cast<double>(rng.NextInt(0, 9)));
+    e.set_attr(1, static_cast<double>(rng.NextInt(0, 2)));
+    ev.push_back(e);
+    t += 1 + static_cast<Timestamp>(rng.NextBelow(2));
+  }
+  CheckAllEnginesAgainstBruteReference(plan, ev);
+}
+
+// Workload 2: diverse Kleene patterns, windows and aggregates (COUNT/SUM/
+// AVG/MAX), event predicates on several types and edge predicates. Kept
+// small: the brute-force reference and the two-step baseline both
+// enumerate trends, which grow exponentially with Kleene-run length. Its
+// SUM windows reach ~1e7 over millions of trends, so values compare to a
+// 1e-12 relative tolerance instead of 4 ULPs.
+TEST(RunPropagation, DiverseWorkloadMatchesBruteReference) {
+  BenchWorkload bw = MakeWorkload2(6);
+  GeneratorConfig gen;
+  gen.seed = 99;
+  gen.events_per_minute = 150;
+  gen.duration_minutes = 1;
+  gen.num_groups = 4;
+  gen.burstiness = 0.5;
+  gen.max_burst = 4;
+  CheckAllEnginesAgainstBruteReference(*bw.plan, bw.generator->Generate(gen),
+                                       /*rel_tol=*/1e-12);
 }
 
 }  // namespace

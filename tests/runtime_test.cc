@@ -6,85 +6,17 @@
 #include <cmath>
 #include <map>
 
-#include "src/brute/enumerator.h"
 #include "src/common/rng.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
 #include "src/stream/stream_builder.h"
+#include "tests/brute_reference.h"
 
 namespace hamlet {
 namespace {
 
-// Expected emissions computed per window instance with the brute-force
-// enumerator.
-std::map<std::tuple<QueryId, int64_t, Timestamp>, double> Reference(
-    const WorkloadPlan& plan, const EventVector& events) {
-  std::map<std::tuple<QueryId, int64_t, Timestamp>, double> out;
-  if (events.empty()) return out;
-  Timestamp horizon = 0;
-  for (const ExecQuery& eq : plan.exec_queries)
-    horizon = std::max(horizon, eq.window.within);
-  const Timestamp t_max = events.back().time + horizon;
-  for (QueryId query = 0; query < plan.workload->size(); ++query) {
-    const CompositionRule& rule =
-        plan.compositions[static_cast<size_t>(query)];
-    const ExecQuery& first =
-        plan.exec_queries[static_cast<size_t>(rule.exec_ids[0])];
-    const WindowSpec& spec = first.window;
-    const AttrId group_by = first.group_by;
-    // Group keys present in the stream.
-    std::vector<int64_t> keys;
-    for (const Event& e : events) {
-      int64_t k = group_by == Schema::kInvalidId
-                      ? 0
-                      : static_cast<int64_t>(std::llround(e.attr(group_by)));
-      if (std::find(keys.begin(), keys.end(), k) == keys.end())
-        keys.push_back(k);
-    }
-    for (int64_t key : keys) {
-      for (Timestamp ws = 0; ws < t_max; ws += spec.slide) {
-        EventVector in_window;
-        for (const Event& e : events) {
-          if (e.time < ws || e.time >= ws + spec.within) continue;
-          int64_t k = group_by == Schema::kInvalidId
-                          ? 0
-                          : static_cast<int64_t>(
-                                std::llround(e.attr(group_by)));
-          if (k == key) in_window.push_back(e);
-        }
-        std::vector<double> branch_values;
-        for (int exec : rule.exec_ids) {
-          branch_values.push_back(
-              BruteForceEval(plan.exec_queries[static_cast<size_t>(exec)],
-                             in_window)
-                  .value()
-                  .value);
-        }
-        out[{query, key, ws}] = ComposeQueryValue(rule, branch_values);
-      }
-    }
-  }
-  return out;
-}
-
-// The executor only emits windows it opened (i.e. covering panes at/after
-// the first event); compare on the intersection, requiring every emission to
-// match the reference.
-void ExpectEmissionsMatch(const RunOutput& run,
-                          const std::map<std::tuple<QueryId, int64_t, Timestamp>,
-                                         double>& ref,
-                          const std::string& label) {
-  ASSERT_GT(run.emissions.size(), 0u) << label;
-  for (const Emission& e : run.emissions) {
-    auto it = ref.find({e.query, e.group_key, e.window_start});
-    ASSERT_NE(it, ref.end())
-        << label << " unexpected window q" << e.query << " g" << e.group_key
-        << " ws=" << e.window_start;
-    EXPECT_DOUBLE_EQ(e.value, it->second)
-        << label << " q" << e.query << " g" << e.group_key
-        << " ws=" << e.window_start;
-  }
-}
+using test::BruteReference;
+using test::ExpectEmissionsMatch;
 
 class RuntimeFixture : public ::testing::Test {
  protected:
@@ -126,7 +58,7 @@ TEST_F(RuntimeFixture, TumblingWindowsAllEngines) {
   WorkloadPlan plan = Analyze();
   Rng rng(2024);
   EventVector ev = RandomStream(rng, 60, {"A", "B", "C"}, 1, 3);
-  auto ref = Reference(plan, ev);
+  auto ref = BruteReference(plan, ev);
   for (EngineKind kind :
        {EngineKind::kHamletDynamic, EngineKind::kHamletStatic,
         EngineKind::kHamletNoShare, EngineKind::kGretaGraph,
@@ -135,7 +67,7 @@ TEST_F(RuntimeFixture, TumblingWindowsAllEngines) {
     config.kind = kind;
     StreamExecutor executor(plan, config);
     RunOutput run = executor.Run(ev);
-    ExpectEmissionsMatch(run, ref, EngineKindName(kind));
+    ExpectEmissionsMatch(run.emissions, ref, EngineKindName(kind));
     EXPECT_EQ(run.metrics.events, 60);
     EXPECT_GT(run.metrics.throughput_eps, 0);
   }
@@ -150,13 +82,14 @@ TEST_F(RuntimeFixture, SlidingWindowsReplicateCorrectly) {
   EXPECT_EQ(plan.pane_size, 10);
   Rng rng(7);
   EventVector ev = RandomStream(rng, 50, {"A", "B", "C"}, 1, 3);
-  auto ref = Reference(plan, ev);
+  auto ref = BruteReference(plan, ev);
   for (EngineKind kind : {EngineKind::kHamletDynamic, EngineKind::kGretaGraph,
                           EngineKind::kTwoStep}) {
     RunConfig config;
     config.kind = kind;
     StreamExecutor executor(plan, config);
-    ExpectEmissionsMatch(executor.Run(ev), ref, EngineKindName(kind));
+    ExpectEmissionsMatch(executor.Run(ev).emissions, ref,
+                         EngineKindName(kind));
   }
 }
 
@@ -172,14 +105,14 @@ TEST_F(RuntimeFixture, DiverseWindowsShareViaPanes) {
   ASSERT_EQ(plan.share_groups.size(), 1u);
   Rng rng(99);
   EventVector ev = RandomStream(rng, 80, {"A", "B", "C"}, 1, 3);
-  auto ref = Reference(plan, ev);
+  auto ref = BruteReference(plan, ev);
   for (EngineKind kind : {EngineKind::kHamletDynamic, EngineKind::kHamletStatic,
                           EngineKind::kGretaGraph}) {
     RunConfig config;
     config.kind = kind;
     StreamExecutor executor(plan, config);
     RunOutput run = executor.Run(ev);
-    ExpectEmissionsMatch(run, ref, EngineKindName(kind));
+    ExpectEmissionsMatch(run.emissions, ref, EngineKindName(kind));
     if (kind == EngineKind::kHamletStatic) {
       EXPECT_GT(run.metrics.hamlet.bursts_shared, 0);
     }
@@ -194,13 +127,14 @@ TEST_F(RuntimeFixture, GroupByPartitionsStreams) {
   WorkloadPlan plan = Analyze();
   Rng rng(31);
   EventVector ev = RandomStream(rng, 90, {"A", "B", "C"}, 3, 2);
-  auto ref = Reference(plan, ev);
+  auto ref = BruteReference(plan, ev);
   for (EngineKind kind : {EngineKind::kHamletDynamic, EngineKind::kGretaGraph,
                           EngineKind::kSharon}) {
     RunConfig config;
     config.kind = kind;
     StreamExecutor executor(plan, config);
-    ExpectEmissionsMatch(executor.Run(ev), ref, EngineKindName(kind));
+    ExpectEmissionsMatch(executor.Run(ev).emissions, ref,
+                         EngineKindName(kind));
   }
 }
 
@@ -212,13 +146,14 @@ TEST_F(RuntimeFixture, SumAndAvgAcrossWindows) {
   WorkloadPlan plan = Analyze();
   Rng rng(55);
   EventVector ev = RandomStream(rng, 70, {"A", "B", "C"}, 1, 2);
-  auto ref = Reference(plan, ev);
+  auto ref = BruteReference(plan, ev);
   for (EngineKind kind : {EngineKind::kHamletDynamic, EngineKind::kGretaGraph,
                           EngineKind::kTwoStep, EngineKind::kSharon}) {
     RunConfig config;
     config.kind = kind;
     StreamExecutor executor(plan, config);
-    ExpectEmissionsMatch(executor.Run(ev), ref, EngineKindName(kind));
+    ExpectEmissionsMatch(executor.Run(ev).emissions, ref,
+                         EngineKindName(kind));
   }
 }
 
@@ -229,11 +164,11 @@ TEST_F(RuntimeFixture, OrCompositionAcrossComponents) {
   WorkloadPlan plan = Analyze();
   Rng rng(66);
   EventVector ev = RandomStream(rng, 60, {"A", "B", "C", "D"}, 1, 2);
-  auto ref = Reference(plan, ev);
+  auto ref = BruteReference(plan, ev);
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
   StreamExecutor executor(plan, config);
-  ExpectEmissionsMatch(executor.Run(ev), ref, "or_composition");
+  ExpectEmissionsMatch(executor.Run(ev).emissions, ref, "or_composition");
 }
 
 TEST_F(RuntimeFixture, TwoStepBudgetProducesDnf) {
